@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -196,7 +197,7 @@ void MeasureApplyPipelineSweep(bench::BenchReport& report) {
   double serial_us = 0;
   for (size_t threads : {1, 2, 4, 8}) {
     std::atomic<int> applied{0};
-    auto pipeline = middleware::ApplyPipeline::Create(
+    auto pipeline = std::make_unique<middleware::ApplyPipeline>(
         threads,
         [&](middleware::ToCommitEntry) {
           std::this_thread::sleep_for(kApplyCost);

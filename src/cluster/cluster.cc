@@ -51,6 +51,19 @@ Status Cluster::Start() {
   for (auto& replica : replicas_) {
     SIREP_RETURN_IF_ERROR(replica->Start());
   }
+  // Join() returns before the view change reaches every member's
+  // delivery thread: wait until each replica has installed the full view,
+  // so callers never observe a member that does not yet see its peers.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  for (auto& replica : replicas_) {
+    while (replica->GetHealth().view_members < replicas_.size()) {
+      if (std::chrono::steady_clock::now() > deadline) {
+        return Status::TimedOut("a replica never installed the full view");
+      }
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  }
   return Status::OK();
 }
 

@@ -65,7 +65,9 @@ class Cluster : public client::ReplicaDirectory {
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
 
-  /// Joins every middleware replica to the group. Call once, first.
+  /// Joins every middleware replica to the group and waits until each
+  /// has installed the full view (kTimedOut after 10 s). Call once,
+  /// first.
   Status Start();
 
   // ---- schema / data loading (bypasses replication, like restoring the

@@ -180,6 +180,20 @@ class PartitionMap {
     return mask;
   }
 
+  /// The entries of `ws` that fall in `held_mask`'s partitions: the
+  /// sub-writeset a replica holding only some of a writeset's
+  /// partitions applies (live and in recovery replay alike).
+  std::shared_ptr<const storage::WriteSet> HeldSubset(
+      const storage::WriteSet& ws, uint64_t held_mask) const {
+    auto subset = std::make_shared<storage::WriteSet>();
+    for (const auto& entry : ws.entries()) {
+      if ((held_mask >> PartitionOf(entry.tuple)) & 1) {
+        subset->Record(entry.tuple, entry.op, entry.after);
+      }
+    }
+    return subset;
+  }
+
   /// Re-partitions the keyspace and bumps the epoch. Masks computed
   /// under the old layout stay detectable via the epoch carried in
   /// every writeset message; receivers treat a mismatched epoch

@@ -98,15 +98,6 @@ class WorkQueue {
     return item;
   }
 
-  /// Non-blocking pop.
-  std::optional<T> TryPop() {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    return item;
-  }
-
   void Close() {
     {
       std::lock_guard<std::mutex> lock(mu_);

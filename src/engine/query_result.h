@@ -18,13 +18,6 @@ struct QueryResult {
   bool empty() const { return rows.empty(); }
   size_t NumRows() const { return rows.size(); }
 
-  /// Convenience for single-value results (aggregates, point reads).
-  /// Returns NULL if there are no rows.
-  sql::Value ScalarOrNull() const {
-    if (rows.empty() || rows[0].empty()) return sql::Value::Null();
-    return rows[0][0];
-  }
-
   std::string ToString() const;
 };
 

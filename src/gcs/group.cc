@@ -39,6 +39,8 @@ class Group::MemberSink : public FrameSink {
       : group_(group), listener_(listener) {}
 
   void OnFrame(uint64_t base_seqno, const Frame& frame) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (detached_) return;
     if (!frame.entries.empty()) {
       // Pointer path (in-process transport): payloads pass through.
       for (size_t i = 0; i < frame.entries.size(); ++i) {
@@ -66,7 +68,15 @@ class Group::MemberSink : public FrameSink {
   }
 
   void OnViewChange(const View& view) override {
-    listener_->OnViewChange(view);
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!detached_) listener_->OnViewChange(view);
+  }
+
+  GroupListener* listener() const { return listener_; }
+
+  void Detach() {
+    std::lock_guard<std::mutex> lock(mu_);
+    detached_ = true;
   }
 
  private:
@@ -88,7 +98,9 @@ class Group::MemberSink : public FrameSink {
   }
 
   Group* group_;
-  GroupListener* listener_;
+  GroupListener* const listener_;
+  std::mutex mu_;  ///< held across every callback
+  bool detached_ = false;
 };
 
 Group::Group(GroupOptions options) : options_(options) {
@@ -133,6 +145,18 @@ MemberId Group::Join(GroupListener* listener) {
 void Group::RegisterCodec(const std::string& type, PayloadCodec codec) {
   std::lock_guard<std::mutex> lock(codec_mu_);
   codecs_[type] = std::move(codec);
+}
+
+void Group::Detach(GroupListener* listener) {
+  std::vector<MemberSink*> sinks;
+  {
+    // Sinks live as long as the group, so the pointers outlast the lock.
+    std::lock_guard<std::mutex> lock(sinks_mu_);
+    for (const auto& sink : sinks_) {
+      if (sink->listener() == listener) sinks.push_back(sink.get());
+    }
+  }
+  for (MemberSink* sink : sinks) sink->Detach();
 }
 
 void Group::Crash(MemberId member) {

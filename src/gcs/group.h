@@ -146,6 +146,12 @@ class Group {
   /// True if the member has not crashed (and the group is running).
   bool IsAlive(MemberId member) const;
 
+  /// Stops all callbacks into `listener`, waiting out one in flight, so
+  /// the caller may destroy it while the group runs (a crashed member's
+  /// delivery thread can still be inside its last callback when Crash()
+  /// returns). Must not be called from one of its own callbacks.
+  void Detach(GroupListener* listener);
+
   /// Multicasts to all members in total order. Returns kUnavailable if
   /// the sender has crashed or the group is shut down. With batching
   /// enabled, OK means the message is accepted into the sender's pending

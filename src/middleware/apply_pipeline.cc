@@ -1,201 +1,99 @@
 #include "middleware/apply_pipeline.h"
 
-#include <condition_variable>
+#include <algorithm>
 #include <cstdlib>
-#include <deque>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <utility>
-#include <vector>
 
 #include "obs/profiler.h"
 #include "storage/types.h"
 
 namespace sirep::middleware {
 
-namespace {
+ApplyPipeline::ApplyPipeline(size_t width, ApplyFn apply,
+                             obs::MetricsRegistry* registry)
+    : apply_(std::move(apply)),
+      queues_(std::max<size_t>(width, 1)),
+      depth_(queues_.size(), nullptr) {
+  if (registry != nullptr) {
+    for (size_t i = 0; i < queues_.size(); ++i) {
+      depth_[i] = registry->GetGauge("mw.apply.shard" + std::to_string(i) +
+                                     ".queue_depth");
+    }
+  }
+  workers_.reserve(queues_.size());
+  for (size_t i = 0; i < queues_.size(); ++i) {
+    workers_.emplace_back([this, i] { Loop(i); });
+  }
+}
 
-/// Strict dispatch-order FIFO on one worker: the original single-applier
-/// replica, kept as its own class so `SIREP_APPLY_THREADS=1` is a true
-/// serial baseline rather than a degenerate parameterization.
-class SerialApplyPipeline : public ApplyPipeline {
- public:
-  SerialApplyPipeline(ApplyFn apply, obs::MetricsRegistry* registry)
-      : apply_(std::move(apply)),
-        depth_(registry == nullptr
-                   ? nullptr
-                   : registry->GetGauge("mw.apply.shard0.queue_depth")),
-        worker_([this] { Loop(); }) {}
+ApplyPipeline::~ApplyPipeline() { Shutdown(); }
 
-  ~SerialApplyPipeline() override { Shutdown(); }
+void ApplyPipeline::Dispatch(ToCommitEntry entry) {
+  const size_t q = Route(entry);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (shutdown_) return;
+    queues_[q].push_back(std::move(entry));
+    if (depth_[q] != nullptr) {
+      depth_[q]->Set(static_cast<int64_t>(queues_[q].size()));
+    }
+  }
+  // Any idle worker may steal the entry, so wake them all; dispatch
+  // rates are bounded by the delivery thread, not by this notify.
+  cv_.notify_all();
+}
 
-  void Dispatch(ToCommitEntry entry) override {
+void ApplyPipeline::Shutdown() {
+  std::vector<std::thread> workers;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    shutdown_ = true;
+    workers.swap(workers_);
+  }
+  cv_.notify_all();
+  for (auto& w : workers) {
+    if (w.joinable()) w.join();
+  }
+}
+
+size_t ApplyPipeline::Route(const ToCommitEntry& entry) const {
+  if (entry.ws != nullptr && !entry.ws->entries().empty()) {
+    return storage::TupleIdHash()(entry.ws->entries().front().tuple) %
+           queues_.size();
+  }
+  return static_cast<size_t>(entry.tid) % queues_.size();
+}
+
+bool ApplyPipeline::FindWork(size_t self, size_t* victim) const {
+  for (size_t k = 0; k < queues_.size(); ++k) {
+    const size_t q = (self + k) % queues_.size();
+    if (!queues_[q].empty()) {
+      *victim = q;
+      return true;
+    }
+  }
+  return false;
+}
+
+void ApplyPipeline::Loop(size_t self) {
+  std::unique_lock<std::mutex> lock(mu_);
+  while (true) {
+    size_t victim = 0;
+    cv_.wait(lock, [&] { return shutdown_ || FindWork(self, &victim); });
+    if (!FindWork(self, &victim)) return;  // shut down and drained
+    ToCommitEntry entry = std::move(queues_[victim].front());
+    queues_[victim].pop_front();
+    if (depth_[victim] != nullptr) {
+      depth_[victim]->Set(static_cast<int64_t>(queues_[victim].size()));
+    }
+    lock.unlock();
     {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (shutdown_) return;
-      queue_.push_back(std::move(entry));
-      if (depth_ != nullptr) {
-        depth_->Set(static_cast<int64_t>(queue_.size()));
-      }
+      obs::Profiler::Section section("mw.pipeline.apply");
+      apply_(std::move(entry));
     }
-    cv_.notify_one();
+    lock.lock();
   }
-
-  void Shutdown() override {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      shutdown_ = true;
-    }
-    cv_.notify_all();
-    if (worker_.joinable()) worker_.join();
-  }
-
-  size_t width() const override { return 1; }
-
- private:
-  void Loop() {
-    std::unique_lock<std::mutex> lock(mu_);
-    while (true) {
-      cv_.wait(lock, [&] { return shutdown_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // shut down and drained
-      ToCommitEntry entry = std::move(queue_.front());
-      queue_.pop_front();
-      if (depth_ != nullptr) {
-        depth_->Set(static_cast<int64_t>(queue_.size()));
-      }
-      lock.unlock();
-      {
-        obs::Profiler::Section section("mw.pipeline.apply");
-        apply_(std::move(entry));
-      }
-      lock.lock();
-    }
-  }
-
-  ApplyFn apply_;
-  obs::Gauge* const depth_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<ToCommitEntry> queue_;
-  bool shutdown_ = false;
-  std::thread worker_;
-};
-
-/// One dispatch queue per worker, routed by tuple hash, with work
-/// stealing. Entries are pairwise non-conflicting (see the interface
-/// contract), so any worker may run any entry; routing only provides
-/// cache affinity for hot tuples, and stealing guarantees a worker
-/// blocked inside the database (lock held by a local transaction) never
-/// strands another queue.
-class ShardedApplyPipeline : public ApplyPipeline {
- public:
-  ShardedApplyPipeline(size_t width, ApplyFn apply,
-                       obs::MetricsRegistry* registry)
-      : apply_(std::move(apply)), queues_(width), depth_(width, nullptr) {
-    if (registry != nullptr) {
-      for (size_t i = 0; i < width; ++i) {
-        depth_[i] = registry->GetGauge("mw.apply.shard" + std::to_string(i) +
-                                       ".queue_depth");
-      }
-    }
-    workers_.reserve(width);
-    for (size_t i = 0; i < width; ++i) {
-      workers_.emplace_back([this, i] { Loop(i); });
-    }
-  }
-
-  ~ShardedApplyPipeline() override { Shutdown(); }
-
-  void Dispatch(ToCommitEntry entry) override {
-    const size_t q = Route(entry);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (shutdown_) return;
-      queues_[q].push_back(std::move(entry));
-      if (depth_[q] != nullptr) {
-        depth_[q]->Set(static_cast<int64_t>(queues_[q].size()));
-      }
-    }
-    // Any idle worker may steal the entry, so wake them all; dispatch
-    // rates are bounded by the delivery thread, not by this notify.
-    cv_.notify_all();
-  }
-
-  void Shutdown() override {
-    std::vector<std::thread> workers;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      shutdown_ = true;
-      workers.swap(workers_);
-    }
-    cv_.notify_all();
-    for (auto& w : workers) {
-      if (w.joinable()) w.join();
-    }
-  }
-
-  size_t width() const override { return queues_.size(); }
-
- private:
-  size_t Route(const ToCommitEntry& entry) const {
-    if (entry.ws != nullptr && !entry.ws->entries().empty()) {
-      return storage::TupleIdHash()(entry.ws->entries().front().tuple) %
-             queues_.size();
-    }
-    return static_cast<size_t>(entry.tid) % queues_.size();
-  }
-
-  /// Own queue first (affinity), then steal left-to-right from the next.
-  bool FindWork(size_t self, size_t* victim) const {
-    for (size_t k = 0; k < queues_.size(); ++k) {
-      const size_t q = (self + k) % queues_.size();
-      if (!queues_[q].empty()) {
-        *victim = q;
-        return true;
-      }
-    }
-    return false;
-  }
-
-  void Loop(size_t self) {
-    std::unique_lock<std::mutex> lock(mu_);
-    while (true) {
-      size_t victim = 0;
-      cv_.wait(lock, [&] { return shutdown_ || FindWork(self, &victim); });
-      if (!FindWork(self, &victim)) return;  // shut down and drained
-      ToCommitEntry entry = std::move(queues_[victim].front());
-      queues_[victim].pop_front();
-      if (depth_[victim] != nullptr) {
-        depth_[victim]->Set(static_cast<int64_t>(queues_[victim].size()));
-      }
-      lock.unlock();
-      {
-        obs::Profiler::Section section("mw.pipeline.apply");
-        apply_(std::move(entry));
-      }
-      lock.lock();
-    }
-  }
-
-  ApplyFn apply_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::vector<std::deque<ToCommitEntry>> queues_;
-  std::vector<obs::Gauge*> depth_;
-  bool shutdown_ = false;
-  std::vector<std::thread> workers_;
-};
-
-}  // namespace
-
-std::unique_ptr<ApplyPipeline> ApplyPipeline::Create(
-    size_t threads, ApplyFn apply, obs::MetricsRegistry* registry) {
-  if (threads <= 1) {
-    return std::make_unique<SerialApplyPipeline>(std::move(apply), registry);
-  }
-  return std::make_unique<ShardedApplyPipeline>(threads, std::move(apply),
-                                                registry);
 }
 
 size_t ApplyPipeline::ThreadsFromEnv(size_t configured) {

@@ -1,18 +1,21 @@
 #ifndef SIREP_MIDDLEWARE_APPLY_PIPELINE_H_
 #define SIREP_MIDDLEWARE_APPLY_PIPELINE_H_
 
+#include <condition_variable>
+#include <deque>
 #include <functional>
-#include <memory>
+#include <mutex>
+#include <thread>
+#include <vector>
 
 #include "middleware/tocommit_queue.h"
 #include "obs/metrics.h"
 
 namespace sirep::middleware {
 
-/// The remote-apply half of step III, extracted from SrcaRepReplica so
-/// the serial (pre-pipeline) path stays selectable for A/B benching and
-/// bisection. The replica validates writesets in delivery order and asks
-/// the ToCommitQueue which entries have no conflicting predecessor
+/// The remote-apply half of step III, extracted from SrcaRepReplica. The
+/// replica validates writesets in delivery order and asks the
+/// ToCommitQueue which entries have no conflicting predecessor
 /// (Adjustment 2); every entry handed to Dispatch() is therefore
 /// pairwise non-conflicting with every other in-flight entry — the
 /// pipeline is free to run them on any worker in any order without
@@ -21,46 +24,55 @@ namespace sirep::middleware {
 /// the stable prefix, and the ToCommitQueue withholds conflicting
 /// successors until their predecessor commits.
 ///
-/// Implementations:
-///  * width 1 — a single worker applying in strict dispatch order: the
-///    behavior of the original single-applier replica, byte for byte.
-///  * width N — one dispatch queue per worker, routed by the writeset's
-///    first tuple hash (keeps writers of a hot key on one worker, warm),
-///    with work stealing so a worker blocked on a database lock held by
-///    a local transaction never strands other queues' entries (the pool
-///    must not lose width to hidden blocking, paper §4.2).
+/// One dispatch queue per worker, routed by the writeset's first tuple
+/// hash (keeps writers of a hot key on one worker, warm), with work
+/// stealing so a worker blocked on a database lock held by a local
+/// transaction never strands other queues' entries (the pool must not
+/// lose width to hidden blocking, paper §4.2). At width 1 this is one
+/// worker applying in strict dispatch order — the paper's serial apply.
 ///
 /// Shutdown() drains queued entries through `apply` before returning —
 /// the replica's shutdown flag makes those drained applies fall through
-/// to their hole-discard path, exactly as the previous thread pool did.
+/// to their hole-discard path.
 class ApplyPipeline {
  public:
   /// Applies + commits one validated remote writeset (bound to
   /// SrcaRepReplica::ApplyRemote). Must be callable concurrently.
   using ApplyFn = std::function<void(ToCommitEntry)>;
 
-  virtual ~ApplyPipeline() = default;
+  /// `width` workers (floored at 1). `registry`, if non-null, receives
+  /// per-shard "mw.apply.shard<i>.queue_depth" gauges.
+  ApplyPipeline(size_t width, ApplyFn apply, obs::MetricsRegistry* registry);
+  ~ApplyPipeline();
+
+  ApplyPipeline(const ApplyPipeline&) = delete;
+  ApplyPipeline& operator=(const ApplyPipeline&) = delete;
 
   /// Hands one dispatchable entry to a worker. Never blocks on the
   /// apply itself; drops the entry when shut down.
-  virtual void Dispatch(ToCommitEntry entry) = 0;
+  void Dispatch(ToCommitEntry entry);
 
   /// Drains outstanding entries and joins the workers. Idempotent.
-  virtual void Shutdown() = 0;
-
-  /// Number of worker threads.
-  virtual size_t width() const = 0;
-
-  /// Builds a serial (threads <= 1) or sharded pipeline. `registry`, if
-  /// non-null, receives per-shard "mw.apply.shard<i>.queue_depth" gauges.
-  static std::unique_ptr<ApplyPipeline> Create(size_t threads,
-                                               ApplyFn apply,
-                                               obs::MetricsRegistry* registry);
+  void Shutdown();
 
   /// SIREP_APPLY_THREADS, when set to a positive integer, overrides the
-  /// configured width (the ctest/CI hook for pinning both pipeline
-  /// modes); otherwise returns `configured`, floored at 1.
+  /// configured width (the ctest/CI hook for pinning the width);
+  /// otherwise returns `configured`, floored at 1.
   static size_t ThreadsFromEnv(size_t configured);
+
+ private:
+  size_t Route(const ToCommitEntry& entry) const;
+  /// Own queue first (affinity), then steal left-to-right from the next.
+  bool FindWork(size_t self, size_t* victim) const;
+  void Loop(size_t self);
+
+  ApplyFn apply_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::vector<std::deque<ToCommitEntry>> queues_;
+  std::vector<obs::Gauge*> depth_;
+  bool shutdown_ = false;
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace sirep::middleware

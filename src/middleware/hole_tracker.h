@@ -1,9 +1,11 @@
 #ifndef SIREP_MIDDLEWARE_HOLE_TRACKER_H_
 #define SIREP_MIDDLEWARE_HOLE_TRACKER_H_
 
+#include <algorithm>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <mutex>
 #include <set>
 
@@ -171,10 +173,13 @@ class HoleTracker {
 
   /// Drops a validated transaction that will never commit here (replica
   /// shutting down / crashed mid-pipeline) so waiters are not stranded.
+  /// The stable prefix stays below `tid` for good: its writeset is not
+  /// in this database, so a restart must replay it.
   void Discard(uint64_t tid) {
     {
       std::lock_guard<std::mutex> lock(mu_);
       outstanding_.erase(tid);
+      prefix_cap_ = std::min(prefix_cap_, tid - 1);
       cv_.notify_all();
     }
     NotifyChange();
@@ -197,8 +202,9 @@ class HoleTracker {
   /// from (re-applying anything after it is idempotent).
   uint64_t StablePrefix() const {
     std::lock_guard<std::mutex> lock(mu_);
-    if (outstanding_.empty()) return max_committed_;
-    return *outstanding_.begin() - 1;
+    const uint64_t prefix =
+        outstanding_.empty() ? max_committed_ : *outstanding_.begin() - 1;
+    return std::min(prefix, prefix_cap_);
   }
 
   Stats stats() const {
@@ -238,6 +244,8 @@ class HoleTracker {
   std::condition_variable cv_;
   std::set<uint64_t> outstanding_;
   uint64_t max_committed_ = 0;
+  /// Below the smallest discarded tid (see Discard).
+  uint64_t prefix_cap_ = std::numeric_limits<uint64_t>::max();
   int waiting_starts_ = 0;
   bool cancelled_ = false;
   Stats stats_;

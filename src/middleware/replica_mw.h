@@ -5,14 +5,10 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <limits>
-#include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -26,6 +22,7 @@
 #include "middleware/global_txn_id.h"
 #include "middleware/hole_tracker.h"
 #include "middleware/messages.h"
+#include "middleware/recovery.h"
 #include "middleware/sharded_ws_index.h"
 #include "middleware/tocommit_queue.h"
 #include "obs/flight_recorder.h"
@@ -81,14 +78,11 @@ struct ReplicaOptions {
   size_t validation_shards = 16;
   /// Base deadline for a whole Recover() run. The effective deadline
   /// grows with the bytes actually received so a large full-copy
-  /// transfer does not spuriously time out (see Recover()). The
-  /// SIREP_RECOVERY_TIMEOUT_MS environment variable, when set,
-  /// overrides this value.
+  /// transfer does not spuriously time out (see Recover()).
   std::chrono::milliseconds recovery_timeout{30000};
   /// Donor silence longer than this counts as a donor fault: the
   /// recoverer abandons the transfer and re-requests from the next
-  /// donor, resuming at its cursor. SIREP_RECOVERY_CHUNK_TIMEOUT_MS
-  /// overrides.
+  /// donor, resuming at its cursor.
   std::chrono::milliseconds recovery_chunk_timeout{2000};
   /// Rows (or log entries) per recovery chunk — the streaming unit of
   /// state transfer and the resume granularity within a table.
@@ -123,7 +117,8 @@ enum class TxnOutcome { kUnknown, kCommitted, kAborted };
 ///
 /// Clients do not use this class directly; client::Connection (the
 /// JDBC-like driver) talks to it and handles fail-over.
-class SrcaRepReplica : public gcs::GroupListener {
+class SrcaRepReplica final : public gcs::GroupListener,
+                             private RecoveryHost {
  public:
   /// A client transaction local to this replica.
   struct TxnHandle {
@@ -157,7 +152,7 @@ class SrcaRepReplica : public gcs::GroupListener {
   /// Joins the group. Must be called before any transaction.
   Status Start();
 
-  gcs::MemberId member_id() const {
+  gcs::MemberId member_id() const override {
     return member_id_.load(std::memory_order_acquire);
   }
   engine::Database* db() const { return db_; }
@@ -209,9 +204,11 @@ class SrcaRepReplica : public gcs::GroupListener {
 
   /// Simulates the crash of this middleware/DB pair: leaves the group,
   /// fails all in-flight commits with kUnavailable, rejects future calls.
-  void Crash();
+  void Crash() override;
 
-  bool IsAlive() const { return !crashed_.load(std::memory_order_acquire); }
+  bool IsAlive() const override {
+    return !crashed_.load(std::memory_order_acquire);
+  }
 
   /// Graceful stop (test teardown). Not a crash: no view change blame.
   void Shutdown();
@@ -220,13 +217,13 @@ class SrcaRepReplica : public gcs::GroupListener {
 
   /// True when live (not crashed, not still recovering): the discovery
   /// service only hands clients replicas for which this holds.
-  bool IsAcceptingClients() const {
+  bool IsAcceptingClients() const override {
     return IsAlive() && !shutdown_.load(std::memory_order_acquire) &&
            accepting_.load(std::memory_order_acquire);
   }
 
   /// Catches this replica up while the rest of the cluster keeps
-  /// committing ("online recovery"):
+  /// committing ("online recovery", run by OnlineRecovery):
   ///  1. multicasts a recovery marker in total order;
   ///  2. the chosen donor snapshots its validation state exactly at the
   ///     marker and *streams* the payload (full-copy table dumps and/or
@@ -337,151 +334,20 @@ class SrcaRepReplica : public gcs::GroupListener {
     ValidationResult result;
   };
 
-  struct LogEntry {
-    uint64_t tid = 0;
-    GlobalTxnId gid;
-    /// Null for DDL entries *and* for header-only entries a partial
-    /// replica validated without holding the payload's partitions.
-    std::shared_ptr<const storage::WriteSet> ws;
-    std::string ddl;  ///< set for DDL entries
-    /// Per-tuple certification digests and the partition mask (partial
-    /// replication). Populated for every writeset entry so a donated log
-    /// reproduces identical validation state at the recoverer even when
-    /// ws is null.
-    std::vector<uint64_t> digests;
-    uint64_t partition_mask = 0;
-  };
-
-  /// One table's committed contents in a full-state transfer. The schema
-  /// rides along so a recoverer that never saw the replicated CREATE
-  /// TABLE can create it.
-  struct TableDump {
-    std::string table;
-    sql::Schema schema;
-    std::vector<sql::Row> rows;
-  };
-
-  /// Resume point of a chunked state transfer, multicast back to the
-  /// group when the recoverer re-requests after a donor fault so the
-  /// next donor continues instead of restarting. Covers both transfer
-  /// phases: `applied_tid` for log replay, `tables_done` +
-  /// `full_copy_base` for an in-progress full copy. Resume granularity
-  /// for the copy is a whole table — row positions within a table are
-  /// donor-snapshot-specific and not comparable across donors, finished
-  /// tables are (idempotent full-row writesets reconcile the rest).
-  struct RecoveryCursor {
-    uint64_t applied_tid = 0;  ///< every log tid <= this is applied here
-    bool full_copy_started = false;
-    uint64_t full_copy_base = 0;  ///< stable prefix of the copy's donor
-    std::vector<std::string> tables_done;  ///< fully received + swept
-  };
-
-  /// One bounded unit of the recovery stream, tagged with the transfer
-  /// id so a chunk from an abandoned attempt is discarded instead of
-  /// corrupting the next one. At most one section (meta / table rows /
-  /// log entries) is populated per chunk.
-  struct RecoveryChunk {
-    Status status;  ///< non-OK chunk aborts this donation
-    uint64_t transfer_id = 0;
-    uint32_t index = 0;        ///< donor-side sequence within the transfer
-    bool final_chunk = false;  ///< transfer complete after this chunk
-
-    // Meta section (first chunk of every donation): the validation state
-    // snapshotted at the marker, and the shape of what follows.
-    bool has_meta = false;
-    uint64_t lastvalidated = 0;
-    std::vector<WsWindowEntry> ws_window;
-    /// Partitions whose rows this donation actually carries (~0 when the
-    /// donor covers everything the requester asked for). Rows outside it
-    /// come from log bookkeeping only; the requester must not delete-sweep
-    /// them.
-    uint64_t served_mask = ~0ull;
-    bool full_copy = false;  ///< table dumps follow before the log
-    /// The cursor's partial copy is unusable (this donor's log does not
-    /// reach its base): recoverer must drop tables_done and start over.
-    bool full_copy_restart = false;
-    uint64_t full_copy_base = 0;
-
-    // Table-rows section (full copy only).
-    std::string table;
-    sql::Schema schema;
-    bool table_begin = false;     ///< first chunk of this table
-    bool table_complete = false;  ///< last chunk: run the delete-sweep
-    std::vector<sql::Row> rows;
-
-    // Log-suffix section.
-    std::vector<LogEntry> log;
-
-    size_t approx_bytes = 0;  ///< payload estimate (metrics + deadline)
-  };
-
-  /// Bounded chunk queue between the donor's streamer thread and the
-  /// recoverer. Like the request it rides the in-process stash, so it
-  /// works on every transport (all replicas share the process).
-  struct RecoveryChannel {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::deque<RecoveryChunk> chunks;
-    size_t capacity = 4;     ///< producer backpressure bound
-    bool closed = false;     ///< donor finished, refused, or died
-    bool abandoned = false;  ///< recoverer moved on; streamer must quit
-  };
-  struct RecoveryRequest {
-    gcs::MemberId requester = gcs::kInvalidMember;
-    gcs::MemberId donor = gcs::kInvalidMember;
-    uint64_t from_tid = 0;
-    uint64_t transfer_id = 0;
-    /// Partitions the requester needs rows for (its held mask; 0 = all).
-    /// A donor that holds none of them refuses; one that holds a subset
-    /// serves it only when `allow_partial` (whole-group-outage
-    /// bookkeeping recovery — the requester keeps its own rows).
-    uint64_t needed_mask = 0;
-    bool allow_partial = false;
-    RecoveryCursor cursor;
-    std::shared_ptr<RecoveryChannel> channel;
-  };
-
-  /// Donor-side donation plan, snapshotted under wsmutex_ at the marker
-  /// point; a streamer thread materializes it into chunks off the
-  /// delivery thread (the dump transaction pins the marker-consistent
-  /// MVCC snapshot, so lazy table scans still observe marker state).
-  struct DonorPlan {
-    uint64_t transfer_id = 0;
-    uint64_t lastvalidated = 0;
-    std::vector<WsWindowEntry> ws_window;
-    uint64_t served_mask = ~0ull;  ///< row filter for the table dumps
-    std::vector<LogEntry> log_suffix;
-    bool full_copy = false;
-    bool full_copy_restart = false;
-    uint64_t full_copy_base = 0;
-    std::vector<std::string> tables;  ///< tables still to dump
-    storage::TransactionPtr dump_txn;
-    std::shared_ptr<RecoveryChannel> channel;
-  };
-
-  /// Recoverer-side transfer state surviving donor switches.
-  struct RecoveryProgress {
-    RecoveryCursor cursor;
-    bool have_meta = false;
-    uint64_t lastvalidated = 0;
-    std::vector<WsWindowEntry> ws_window;
-    uint64_t served_mask = ~0ull;  ///< from the current donor's meta
-    /// Log entries received so far, keyed by tid (identical across
-    /// donors by the total order, so accumulating over switches is
-    /// safe); becomes the adopted ws_log_.
-    std::map<uint64_t, LogEntry> adopted_log;
-    // Import state of the table currently streaming in.
-    bool table_active = false;
-    std::string table;
-    std::set<sql::Key> leftover_keys;  ///< local keys the dump lacks so far
-  };
-
   void RecordOutcome(const GlobalTxnId& gid, bool committed);
-  void MarkLocallyCommitted(const GlobalTxnId& gid);
 
-  /// Steps II/III trigger for one delivered writeset message (the body of
-  /// OnDeliver in live mode; also used when draining the recovery
-  /// buffer).
+  // ---- RecoveryHost (the seam OnlineRecovery drives) ----
+  bool IsShutdown() const override {
+    return shutdown_.load(std::memory_order_acquire);
+  }
+  ValidationSnapshot SnapshotValidation() override;
+  void AdoptValidation(uint64_t lastvalidated,
+                       const std::vector<WsWindowEntry>& ws_window) override;
+  void MarkLocallyCommitted(const GlobalTxnId& gid) override;
+  void ProcessDelivered(const gcs::Message& message) override;
+  void GoLive() override;
+
+  /// Steps II/III trigger for one delivered writeset message.
   void ProcessWriteSet(const gcs::Message& message);
 
   /// Executes a replicated DDL statement at its total-order position.
@@ -489,28 +355,6 @@ class SrcaRepReplica : public gcs::GroupListener {
 
   /// Client-side DDL protocol: multicast + wait for local execution.
   Status ReplicateDdl(const std::string& sql);
-
-  /// Donor/requester handling of a recovery marker.
-  void HandleRecoveryRequest(const gcs::Message& message);
-
-  /// Donor streamer-thread body: materializes `plan` into bounded
-  /// chunks on the channel, honoring backpressure, abandonment, and the
-  /// mw.recovery.* failpoints.
-  void StreamRecoveryChunks(std::shared_ptr<DonorPlan> plan);
-
-  /// Recoverer side: applies one received chunk (meta adoption, table
-  /// rows as idempotent upserts + delete-sweep, log-suffix replay) and
-  /// advances the cursor.
-  Status ApplyRecoveryChunk(const RecoveryChunk& chunk,
-                            RecoveryProgress* progress);
-
-  /// Replays one donated log entry (writeset or DDL) into the local
-  /// database; idempotent against what any previous incarnation or
-  /// donor already applied.
-  Status ApplyRecoveryLogEntry(const LogEntry& entry);
-
-  /// Joins finished and in-flight donor streamer threads.
-  void JoinStreamers();
 
   /// Dispatches every queue entry that became eligible (Adjustment 2).
   void ScheduleAppliers();
@@ -531,39 +375,6 @@ class SrcaRepReplica : public gcs::GroupListener {
   std::atomic<bool> accepting_{true};
   std::atomic<uint64_t> next_local_seq_{0};
 
-  // Recovery buffering: while kBuffering, delivered writesets after the
-  // marker are queued here and replayed by Recover()'s thread; the flip
-  // to kLive happens under buffer_mu_ once the buffer drains. The fence
-  // only arms for the marker of the *current* transfer attempt
-  // (current_transfer_id_) — a marker from an abandoned attempt
-  // delivered late must not re-arm it, or pre-marker messages of the
-  // live attempt would be double-validated after adoption. When the
-  // buffer crosses recovery_buffer_high_water while spills are enabled,
-  // it is dropped wholesale (fence cleared, buffer_spilled_ set) and
-  // the recoverer re-anchors the transfer at a fresh marker.
-  enum class DeliveryMode { kLive, kBuffering };
-  std::mutex buffer_mu_;
-  std::condition_variable buffer_cv_;
-  DeliveryMode delivery_mode_ = DeliveryMode::kLive;
-  bool fence_seen_ = false;
-  uint64_t current_transfer_id_ = 0;
-  bool buffer_spilled_ = false;
-  bool spill_enabled_ = true;
-  /// Effective high-water mark of buffered_. Seeded from
-  /// options().recovery_buffer_high_water at each Recover() entry and
-  /// doubled on every spill, so re-anchoring converges even when live
-  /// deliveries outpace the transfer (escalating backpressure).
-  size_t buffer_hwm_ = 1;
-  std::vector<gcs::Message> buffered_;
-
-  /// Transfer-id generator (recoverer side; unique per member via the
-  /// member-id high bits).
-  std::atomic<uint64_t> transfer_seq_{0};
-
-  /// Donor streamer threads, joined on Shutdown()/destruction.
-  std::mutex streamers_mu_;
-  std::vector<std::thread> streamers_;
-
   // Fig. 4 state. wsmutex_ protects lastvalidated_tid_ and ws_index_,
   // and serializes validation (steps I.2.c-f and II). ws_index_'s own
   // per-shard locks additionally allow lock-free-of-wsmutex_ readers
@@ -571,13 +382,12 @@ class SrcaRepReplica : public gcs::GroupListener {
   std::mutex wsmutex_;
   uint64_t lastvalidated_tid_ = 0;
   ShardedWsIndex ws_index_;
-  std::deque<LogEntry> ws_log_;  // guarded by wsmutex_
 
   ToCommitQueue tocommit_queue_;
   HoleTracker holes_;
-  /// Remote-apply worker pool (serial when width 1); entries handed to
-  /// it are pairwise non-conflicting by the ToCommitQueue's dispatch
-  /// rule, so hole_tracker ordering is the only visibility constraint.
+  /// Remote-apply worker pool; entries handed to it are pairwise
+  /// non-conflicting by the ToCommitQueue's dispatch rule, so
+  /// hole_tracker ordering is the only visibility constraint.
   std::unique_ptr<ApplyPipeline> pipeline_;
   /// Remote applies currently inside ApplyRemote, sampled into the
   /// kApplyParallelism stage histogram at each apply start.
@@ -626,17 +436,6 @@ class SrcaRepReplica : public gcs::GroupListener {
   obs::Gauge* g_ws_list_size_ = nullptr;
   obs::Gauge* g_holes_outstanding_ = nullptr;
   obs::Gauge* g_clock_offset_ns_ = nullptr;
-  // Recovery-stage instrumentation ("mw.recovery.*"): donor side
-  // (chunks/bytes sent), recoverer side (chunks/bytes received, retries,
-  // donor switches, buffer spills, live buffered-message depth).
-  obs::Counter* c_rec_chunks_sent_ = nullptr;
-  obs::Counter* c_rec_bytes_sent_ = nullptr;
-  obs::Counter* c_rec_chunks_received_ = nullptr;
-  obs::Counter* c_rec_bytes_received_ = nullptr;
-  obs::Counter* c_rec_retries_ = nullptr;
-  obs::Counter* c_rec_donor_switches_ = nullptr;
-  obs::Counter* c_rec_buffer_spills_ = nullptr;
-  obs::Gauge* g_rec_buffered_msgs_ = nullptr;
   // Partial replication ("mw.partial.*"): header-only certifications
   // committed without a payload, sub-writeset applies at partially-held
   // replicas, commit attempts rejected because this replica holds none
@@ -660,6 +459,11 @@ class SrcaRepReplica : public gcs::GroupListener {
   /// traced delivery.
   std::atomic<int64_t> clock_offset_ns_{
       std::numeric_limits<int64_t>::max()};
+
+  /// Writeset log, state transfer and delivery buffer (online
+  /// recovery). Declared last: destroyed first, joining its streamer
+  /// threads while everything they use is still alive.
+  OnlineRecovery recovery_;
 };
 
 }  // namespace sirep::middleware

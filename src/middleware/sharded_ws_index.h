@@ -160,13 +160,6 @@ class ShardedWsIndex {
   /// hunt needs). Set once at replica construction.
   void SetLockStats(const obs::LockStats& stats) { lock_stats_ = stats; }
 
-  /// Distinct digests currently indexed in `shard` (per-shard gauges).
-  size_t ShardSize(size_t shard) const {
-    const Shard& s = shards_[shard % shards_.size()];
-    std::lock_guard<std::mutex> lock(s.mu);
-    return s.last_writer.size();
-  }
-
   /// State transfer for online recovery: export the retained window...
   std::vector<WsWindowEntry> Snapshot() const {
     return std::vector<WsWindowEntry>(window_.begin(), window_.end());

@@ -110,6 +110,19 @@ void FlightRecorder::Record(FlightEventType type, uint32_t replica,
                             std::string_view detail) {
   const uint64_t seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
   Slot& slot = slots_[seq & (capacity_ - 1)];
+  // Take the slot by marking it busy. Writers a lap apart may meet here:
+  // a busy slot belongs to a writer still filling it, and a newer
+  // published stamp means a later lap already overwrote our event. Both
+  // drop this event instead of waiting (Record stays lock-free) or
+  // interleaving their field stores with another writer's.
+  const uint64_t published = PublishedStamp(seq);
+  uint64_t current = slot.stamp.load(std::memory_order_relaxed);
+  do {
+    if ((current & kBusy) != 0 || current >= published) return;
+  } while (!slot.stamp.compare_exchange_weak(current, published | kBusy,
+                                             std::memory_order_relaxed));
+  // Seqlock writer: the busy mark must be visible before any field store.
+  std::atomic_thread_fence(std::memory_order_release);
   slot.mono_ns.store(MonotonicNanos(), std::memory_order_relaxed);
   slot.meta.store(static_cast<uint64_t>(type) |
                       (static_cast<uint64_t>(replica) << 8),
@@ -122,13 +135,13 @@ void FlightRecorder::Record(FlightEventType type, uint32_t replica,
   for (size_t i = 0; i < kDetailBytes / 8; ++i) {
     slot.detail[i].store(words[i], std::memory_order_relaxed);
   }
-  slot.stamp.store(seq + 1, std::memory_order_release);
+  slot.stamp.store(published, std::memory_order_release);
 }
 
 bool FlightRecorder::ReadSlot(const Slot& slot, FlightEvent* out) const {
   const uint64_t stamp = slot.stamp.load(std::memory_order_acquire);
-  if (stamp == 0) return false;
-  out->seq = stamp - 1;
+  if (stamp == 0 || (stamp & kBusy) != 0) return false;
+  out->seq = (stamp >> 1) - 1;
   out->mono_ns = slot.mono_ns.load(std::memory_order_relaxed);
   const uint64_t meta = slot.meta.load(std::memory_order_relaxed);
   out->type = static_cast<FlightEventType>(meta & 0xff);
@@ -141,9 +154,10 @@ bool FlightRecorder::ReadSlot(const Slot& slot, FlightEvent* out) const {
     std::memcpy(bytes + i * 8, &w, 8);
   }
   out->detail.assign(bytes, strnlen(bytes, kDetailBytes));
-  // A writer may have overwritten the slot while we copied: discard
-  // rather than report a torn event.
-  return slot.stamp.load(std::memory_order_acquire) == stamp;
+  // Seqlock reader: order the field loads before the re-check, then
+  // discard the copy if a writer took the slot while we read it.
+  std::atomic_thread_fence(std::memory_order_acquire);
+  return slot.stamp.load(std::memory_order_relaxed) == stamp;
 }
 
 std::vector<FlightEvent> FlightRecorder::Dump() const {

@@ -57,19 +57,20 @@ struct FlightEvent {
 /// Fixed-size lock-free black box: the last `capacity` structured
 /// events, recorded from hot paths with one atomic claim per event.
 ///
-/// Writers claim a slot with a single fetch_add on the sequence
-/// counter, fill the slot's fields with relaxed atomic stores, then
-/// publish with a release store of the stamp. No locks, no allocation,
-/// no syscalls on the record path. If the ring wraps while a slow
-/// writer is still filling a slot, the stamp mismatch lets readers
-/// drop that slot instead of reporting a torn event; every field is an
-/// atomic word, so the race is benign (and TSan-clean) by
-/// construction.
+/// Each slot is a seqlock. Writers claim a sequence number with a
+/// single fetch_add, mark the slot busy with a CAS on its stamp, fill
+/// the fields with relaxed atomic stores, then publish with a release
+/// store of the stamp. No locks, no allocation, no syscalls on the
+/// record path. A writer that finds its slot busy (another writer a lap
+/// apart is still filling it) or already holding a later lap's event
+/// drops its own event rather than wait or interleave stores.
 ///
-/// Readers (Dump/DumpText) are best-effort and lock-free too: they
-/// re-check the stamp after copying and discard slots that changed
-/// underneath them. The recorder is meant to be dumped on crash
-/// signal, invariant violation, or explicit request — not polled.
+/// Readers (Dump/DumpText) are best-effort and lock-free too: they skip
+/// busy slots and re-check the stamp after copying, discarding slots
+/// that changed underneath them. Every field is an atomic word, so the
+/// races are benign (and TSan-clean) by construction. The recorder is
+/// meant to be dumped on crash signal, invariant violation, or explicit
+/// request — not polled.
 class FlightRecorder {
  public:
   static constexpr size_t kDetailBytes = 48;
@@ -81,8 +82,8 @@ class FlightRecorder {
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
-  /// Records one event. Safe from any thread; one atomic claim plus a
-  /// handful of relaxed stores.
+  /// Records one event. Safe from any thread; one atomic claim, one
+  /// CAS on the slot stamp, and a handful of relaxed stores.
   void Record(FlightEventType type, uint32_t replica, uint64_t a,
               uint64_t b, std::string_view detail);
 
@@ -124,9 +125,16 @@ class FlightRecorder {
   static void RecordFailpointHits();
 
  private:
+  /// Low stamp bit: a writer is filling the slot.
+  static constexpr uint64_t kBusy = 1;
+  /// Stamp of a published event with claim sequence `seq`.
+  static constexpr uint64_t PublishedStamp(uint64_t seq) {
+    return (seq + 1) << 1;
+  }
+
   struct Slot {
-    /// 0 = never written; otherwise claim seq + 1, stored last with
-    /// release ordering (the publication stamp).
+    /// 0 = never written; otherwise PublishedStamp(claim seq), with
+    /// kBusy set while a writer fills the fields.
     std::atomic<uint64_t> stamp{0};
     std::atomic<uint64_t> mono_ns{0};
     std::atomic<uint64_t> meta{0};  ///< type | replica << 8

@@ -89,13 +89,6 @@ std::vector<sql::Key> MvccTable::IndexLookup(const std::string& column,
   return std::vector<sql::Key>(entry->second.begin(), entry->second.end());
 }
 
-std::vector<std::string> MvccTable::IndexedColumns() const {
-  std::shared_lock<std::shared_mutex> latch(latch_);
-  std::vector<std::string> out;
-  for (const auto& [column, entries] : indexes_) out.push_back(column);
-  return out;
-}
-
 size_t MvccTable::Vacuum(Timestamp horizon) {
   std::unique_lock<std::shared_mutex> latch(latch_);
   size_t freed = 0;

@@ -86,9 +86,6 @@ class MvccTable {
   std::vector<sql::Key> IndexLookup(const std::string& column,
                                     const sql::Value& value) const;
 
-  /// Indexed column names (introspection).
-  std::vector<std::string> IndexedColumns() const;
-
   /// Drops versions that can no longer be seen by any snapshot at or
   /// after `horizon` (i.e. keeps, per key, the newest version with
   /// commit_ts <= horizon plus everything newer), removes fully-dead

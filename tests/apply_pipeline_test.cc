@@ -65,7 +65,7 @@ struct PipelineRun {
   }
 
   void Run(size_t threads, bool adversarial) {
-    pipeline = ApplyPipeline::Create(
+    pipeline = std::make_unique<ApplyPipeline>(
         threads,
         [&](ToCommitEntry entry) {
           {
@@ -155,7 +155,7 @@ TEST(ApplyPipelineTest, ShutdownDrainsQueuedEntries) {
   std::atomic<int> applied{0};
   std::mutex gate;
   gate.lock();  // stall the first apply so the rest stay queued
-  auto pipeline = ApplyPipeline::Create(
+  auto pipeline = std::make_unique<ApplyPipeline>(
       2,
       [&](ToCommitEntry) {
         if (applied.fetch_add(1) == 0) {

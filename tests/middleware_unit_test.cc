@@ -422,6 +422,21 @@ TEST(HoleTrackerTest, DiscardUnblocks) {
   EXPECT_TRUE(started.load());
 }
 
+// A discarded tid never committed here, so the stable prefix — what a
+// restarted incarnation recovers from — must not pass it, even after
+// later tids committed out of order.
+TEST(HoleTrackerTest, DiscardedTidCapsStablePrefix) {
+  HoleTracker holes(true);
+  holes.NoteValidated(1);
+  holes.NoteValidated(2);
+  holes.RecordCommit(2, [] { return 0; });
+  holes.Discard(1);  // apply of tid 1 abandoned by a crash
+  EXPECT_EQ(holes.StablePrefix(), 0u);
+  holes.NoteValidated(3);
+  holes.RecordCommit(3, [] { return 0; });
+  EXPECT_EQ(holes.StablePrefix(), 0u);
+}
+
 TEST(HoleTrackerTest, DeferredCommitStatistic) {
   HoleTracker holes(true);
   holes.CountDeferredCommit();

@@ -291,6 +291,47 @@ TEST(RecoveryTest, RestartAfterCrashWithBlockedTransactions) {
   EXPECT_EQ(ReadAt(*cluster, 2, 5), 42);
 }
 
+TEST(RecoveryTest, CrashDuringRemoteApplyReplaysIt) {
+  // A remote apply is in flight when the replica crashes, while a later
+  // writeset already committed there out of order. The abandoned
+  // writeset never reached this database, so the restart must replay
+  // it: the stable prefix it recovers from may not skip past it.
+  auto cluster = MakeCluster(3);
+  auto* old = cluster->replica(2);
+  // A local transaction holds k=1's row lock, so the remote apply of the
+  // next update of k=1 blocks at replica 2...
+  auto local = std::move(old->BeginTxn()).value();
+  ASSERT_TRUE(old->Execute(local, "UPDATE kv SET v = -1 WHERE k = 1").ok());
+  ASSERT_TRUE(CommitUpdate(*cluster, 0, 1, 11).ok());
+  // ...while the non-conflicting update of k=2 validated after it
+  // commits there.
+  ASSERT_TRUE(CommitUpdate(*cluster, 0, 2, 22).ok());
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (ReadAt(*cluster, 2, 2) != 22) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  // Let the k=1 apply settle into its lock wait.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+  // The node goes down: the middleware crashes and its database restarts,
+  // which fails the blocked apply; the crashed applier abandons it.
+  cluster->CrashReplica(2);
+  cluster->db(2)->engine().SimulateRestart();
+  // (Had the apply not reached its lock wait yet, it commits instead.)
+  while (old->stats().apply_retries == 0 && ReadAt(*cluster, 2, 1) != 11) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+  ASSERT_TRUE(cluster->RestartReplica(2).ok());
+  cluster->Quiesce();
+  EXPECT_EQ(ReadAt(*cluster, 2, 1), 11);
+  EXPECT_EQ(ReadAt(*cluster, 2, 2), 22);
+}
+
 TEST(RecoveryTest, ChainedCrashAndRecover) {
   auto cluster = MakeCluster(3);
   for (int round = 0; round < 3; ++round) {

@@ -159,15 +159,18 @@ TEST_F(SrcaTest, ManyClientsConverge) {
   for (auto& t : clients) t.join();
   EXPECT_GT(committed.load(), 0);
 
-  // Wait until all queues drain (poll for convergence), then all
-  // replicas must agree and the total equals the committed count.
+  // Wait until every replica's queue drains (poll for convergence), then
+  // all replicas must agree and the total equals the committed count.
   int64_t sum0 = 0;
   for (int spin = 0; spin < 1000; ++spin) {
-    sum0 = 0;
-    for (int k = 0; k < 10; ++k) sum0 += ReadAt(0, k);
-    int64_t sum2 = 0;
-    for (int k = 0; k < 10; ++k) sum2 += ReadAt(2, k);
-    if (sum0 == committed.load() && sum2 == committed.load()) break;
+    bool drained = true;
+    for (size_t r = 0; r < 3; ++r) {
+      int64_t sum = 0;
+      for (int k = 0; k < 10; ++k) sum += ReadAt(r, k);
+      if (r == 0) sum0 = sum;
+      drained = drained && sum == committed.load();
+    }
+    if (drained) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   EXPECT_EQ(sum0, committed.load());
