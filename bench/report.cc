@@ -6,7 +6,6 @@
 #include <unistd.h>
 
 #include <cctype>
-#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -23,37 +22,9 @@ namespace sirep::bench {
 
 namespace {
 
-// ---- JSON writing (same conventions as obs::MetricsSnapshot::ToJson) ----
-
-void AppendJsonString(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out->push_back('\\');
-      out->push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      *out += buf;
-    } else {
-      out->push_back(c);
-    }
-  }
-  out->push_back('"');
-}
-
-void AppendDouble(std::string* out, double v) {
-  char buf[40];
-  // %.17g round-trips every finite double.
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  *out += buf;
-}
-
-void AppendU64(std::string* out, uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-  *out += buf;
-}
+using obs::AppendDouble;
+using obs::AppendJsonString;
+using obs::AppendU64;
 
 // ---- JSON parsing ----
 //

@@ -93,10 +93,7 @@ class Database {
   // ---- durability ----
 
   /// See StorageEngine::EnableWal / RecoverFromWal.
-  Status EnableWal(const std::string& path) {
-    return engine_.EnableWal(path);
-  }
-  Status EnableWal(const std::string& path, bool group_commit) {
+  Status EnableWal(const std::string& path, bool group_commit = false) {
     return engine_.EnableWal(path, group_commit);
   }
   Status RecoverFromWal(const std::string& path) {

@@ -184,9 +184,8 @@ void OnlineRecovery::HandleRecoveryRequest(const gcs::Message& message) {
   meta.transfer_id = req->transfer_id;
   meta.has_meta = true;
   meta.served_mask = served_mask;
-  meta.lastvalidated = validation.lastvalidated;
-  meta.ws_window = std::move(validation.ws_window);
-  meta.approx_bytes = 64 + meta.ws_window.size() * 128;
+  meta.validation = std::move(validation.certifier);
+  meta.approx_bytes = 64 + meta.validation.window.size() * 128;
   {
     std::lock_guard<std::mutex> lock(log_mu_);
     // The tid floor our log must reach back to. While the requester has
@@ -203,7 +202,7 @@ void OnlineRecovery::HandleRecoveryRequest(const gcs::Message& message) {
     // reaches-everything` shortcut would silently skip the suffix and
     // diverge the requester.)
     const auto log_reaches = [&](uint64_t tid) {
-      return ws_log_.empty() ? tid >= validation.lastvalidated
+      return ws_log_.empty() ? tid >= meta.validation.last_validated
                              : tid + 1 >= ws_log_.front().tid;
     };
     const bool reaches = log_reaches(floor);
@@ -823,18 +822,18 @@ Status OnlineRecovery::Recover(uint64_t from_tid,
       continue;  // spilled: re-anchor with the same donor
     }
 
+    const uint64_t lastvalidated = progress.meta.validation.last_validated;
     SIREP_ILOG << "replica " << self << " recovered via transfer "
                << transfer_id << ": " << progress.adopted_log.size()
                << " log entries, " << progress.cursor.tables_done.size()
                << " tables copied, resuming validation at tid "
-               << progress.meta.lastvalidated;
+               << lastvalidated;
 
     // Phase 2: adopt the donor's validation state so our future
     // decisions match every other replica's, and teach the hole
     // tracker the committed prefix so a later restart of *this*
     // replica recovers incrementally instead of forcing a full copy.
-    host_->AdoptValidation(progress.meta.lastvalidated,
-                           progress.meta.ws_window);
+    host_->AdoptValidation(std::move(progress.meta.validation));
     {
       std::lock_guard<std::mutex> lock(log_mu_);
       ws_log_.clear();
@@ -843,11 +842,11 @@ Status OnlineRecovery::Recover(uint64_t from_tid,
       LogValidated(std::move(entry));
     }
     flight_->Record(obs::FlightEventType::kRecovery, self, transfer_id,
-                    progress.meta.lastvalidated, "cutover");
+                    lastvalidated, "cutover");
 
     DrainBufferAndGoLive();
     flight_->Record(obs::FlightEventType::kRecovery, self, transfer_id,
-                    progress.meta.lastvalidated, "complete");
+                    lastvalidated, "complete");
     SIREP_ILOG << "replica " << self << " recovery complete";
     return Status::OK();
   }

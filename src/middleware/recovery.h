@@ -17,8 +17,8 @@
 #include "common/status.h"
 #include "engine/database.h"
 #include "gcs/group.h"
+#include "middleware/certifier.h"
 #include "middleware/global_txn_id.h"
-#include "middleware/sharded_ws_index.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 
@@ -38,8 +38,7 @@ class RecoveryHost {
  public:
   /// Validation state at the caller's position in the total order.
   struct ValidationSnapshot {
-    uint64_t lastvalidated = 0;
-    std::vector<WsWindowEntry> ws_window;
+    Certifier::State certifier;
     /// Every validated tid <= this has committed here.
     uint64_t stable_prefix = 0;
   };
@@ -53,9 +52,8 @@ class RecoveryHost {
   /// Donor side, on the delivery thread at the recovery marker.
   virtual ValidationSnapshot SnapshotValidation() = 0;
   /// Recoverer cut-over: adopt the donor's validation state and the
-  /// committed prefix (every tid <= `lastvalidated` is applied here).
-  virtual void AdoptValidation(
-      uint64_t lastvalidated, const std::vector<WsWindowEntry>& ws_window) = 0;
+  /// committed prefix (every tid up to `last_validated` is applied here).
+  virtual void AdoptValidation(Certifier::State state) = 0;
   /// A replayed log entry committed here (fail-over inquiries see it).
   virtual void MarkLocallyCommitted(const GlobalTxnId& gid) = 0;
   /// Validates a delivered writeset or DDL message: live deliveries,
@@ -83,11 +81,8 @@ class OnlineRecovery {
     /// replica validated without holding the payload's partitions.
     std::shared_ptr<const storage::WriteSet> ws;
     std::string ddl;  ///< set for DDL entries
-    /// Per-tuple certification digests and the partition mask (partial
-    /// replication). Populated for every writeset entry so a donated log
-    /// reproduces identical validation state at the recoverer even when
-    /// ws is null.
-    std::vector<uint64_t> digests;
+    /// Partitions written (partial replication). No digests: a recoverer
+    /// adopts the donor's certifier snapshot instead.
     uint64_t partition_mask = 0;
   };
 
@@ -149,8 +144,7 @@ class OnlineRecovery {
     // Meta section (first chunk of every donation): the validation state
     // snapshotted at the marker, and the shape of what follows.
     bool has_meta = false;
-    uint64_t lastvalidated = 0;
-    std::vector<WsWindowEntry> ws_window;
+    Certifier::State validation;
     /// Partitions whose rows this donation actually carries (~0 when the
     /// donor covers everything the requester asked for). Rows outside it
     /// come from log bookkeeping only; the requester must not delete-sweep

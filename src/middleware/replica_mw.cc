@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdio>
 #include <thread>
 
 #include "common/failpoint.h"
@@ -15,7 +14,7 @@ SrcaRepReplica::SrcaRepReplica(engine::Database* db, gcs::Group* group,
     : db_(db),
       group_(group),
       options_(ResolveRecoveryEnv(options)),
-      ws_index_(options.ws_list_window, options.validation_shards),
+      certifier_(options.ws_list_window),
       holes_(options.mode == ReplicaMode::kSrcaRep),
       recovery_(this, db, group, options_, &registry_, &flight_) {
   stage_hists_ = obs::StageHistograms::FromRegistry(&registry_);
@@ -56,8 +55,8 @@ SrcaRepReplica::SrcaRepReplica(engine::Database* db, gcs::Group* group,
   holes_.SetLockStats(obs::LockStats::FromRegistry(&registry_, "mw.lock.holes"));
   tocommit_queue_.SetLockStats(
       obs::LockStats::FromRegistry(&registry_, "mw.lock.tocommit"));
-  ws_index_.SetLockStats(
-      obs::LockStats::FromRegistry(&registry_, "mw.lock.wsindex"));
+  // wsmutex_ serializes certification; the name predates Certifier.
+  wsmutex_stats_ = obs::LockStats::FromRegistry(&registry_, "mw.lock.wsindex");
   if (options_.start_recovering) {
     accepting_.store(false, std::memory_order_release);
   }
@@ -88,7 +87,7 @@ Status SrcaRepReplica::Start() {
     // log stays empty — as a donor we can only offer full copies until
     // new deliveries refill it, which the donor floor logic handles.
     std::lock_guard<std::mutex> lock(wsmutex_);
-    lastvalidated_tid_ = options_.bootstrap_prefix;
+    certifier_.Load({options_.bootstrap_prefix, {}});
     holes_.AdoptCommittedPrefix(options_.bootstrap_prefix);
   }
   const gcs::MemberId id = group_->Join(this);
@@ -188,10 +187,10 @@ void SrcaRepReplica::ProcessDdl(const gcs::Message& message) {
     // Serialized with validation under wsmutex: the DDL takes effect at a
     // single, identical position in every replica's schedule, and gets a
     // tid slot so recovery replay preserves the interleaving.
-    std::lock_guard<std::mutex> lock(wsmutex_);
+    auto lock = obs::AcquireProfiled(wsmutex_, wsmutex_stats_);
     auto r = db_->ExecuteAutoCommit(msg->sql);
     outcome = r.ok() ? Status::OK() : r.status();
-    const uint64_t tid = ++lastvalidated_tid_;
+    const uint64_t tid = certifier_.AssignDdlTid();
     holes_.NoteValidated(tid);
     holes_.RecordCommit(tid, [] { return 0; });
     if (outcome.ok()) {
@@ -306,7 +305,7 @@ Status SrcaRepReplica::CommitTxn(const TxnHandle& txn, bool* had_writes) {
     // I.2.d: local validation — against *remote* transactions still in
     // this replica's tocommit queue (Adjustment 1: conflicts with
     // anything else were already caught inside the database).
-    std::lock_guard<std::mutex> lock(wsmutex_);
+    auto lock = obs::AcquireProfiled(wsmutex_, wsmutex_stats_);
     if (tocommit_queue_.ConflictsWithRemote(*ws)) {
       db_->Abort(txn.db_txn);
       RecordOutcome(txn.gid, /*committed=*/false);
@@ -318,7 +317,7 @@ Status SrcaRepReplica::CommitTxn(const TxnHandle& txn, bool* had_writes) {
     }
     // I.2.e: remember how far validation had progressed; the receivers
     // only need to check writesets validated after this point.
-    cert = lastvalidated_tid_;
+    cert = certifier_.last_validated();
     std::lock_guard<std::mutex> plock(pending_mu_);
     pending_[txn.gid] = pending;
   }
@@ -555,50 +554,26 @@ void SrcaRepReplica::ProcessWriteSet(const gcs::Message& message) {
   }
   const bool apply_here = have_payload && holds_any;
 
-  bool conflict;
-  uint64_t tid = 0;
-  storage::TupleId conflict_key;
-  uint64_t conflict_digest = 0;
+  // Holders hash their tuples, non-holders use the shipped digests: the
+  // same keys either way, so every replica reaches the same verdict and
+  // keeps the same window whether or not the rows are here.
+  std::vector<uint64_t> digests =
+      have_payload ? Certifier::DigestsOf(*msg->ws) : msg->digests;
+  Certifier::Verdict verdict;
   size_t ws_list_size = 0;
   {
     // Step II: global validation, in delivery order (the total order makes
     // every replica take the same decision here).
-    std::lock_guard<std::mutex> lock(wsmutex_);
-    if (!ws_index_.empty() && msg->cert + 1 < ws_index_.MinRetainedTid()) {
-      // The cert predates our retained window (an extremely lagged
-      // sender). We cannot check exactly — abort conservatively. All
-      // replicas share the window size and delivery order, so they all
-      // take this branch identically.
-      SIREP_WLOG << "ws_list window underrun for " << msg->gid.ToString()
-                 << " (cert " << msg->cert << " < min retained "
-                 << ws_index_.MinRetainedTid() << ")";
-      conflict = true;
-    } else if (have_payload) {
-      conflict = ws_index_.ConflictsAfter(msg->cert, *msg->ws, &conflict_key);
-    } else {
-      // Header-only variant: the digest probe is decision-equivalent to
-      // the tuple probe (the index keys on digests either way), so
-      // holders and non-holders reach the same verdict.
-      conflict = ws_index_.ConflictsAfterDigests(msg->cert, msg->digests,
-                                                 &conflict_digest);
-    }
-    if (!conflict) {
-      tid = ++lastvalidated_tid_;
-      // Every replica appends the digests of every validated message —
-      // windows, MinRetainedTid and future verdicts stay identical
-      // cluster-wide whether or not the rows are here.
-      std::vector<uint64_t> digests = have_payload
-                                          ? ShardedWsIndex::DigestsOf(*msg->ws)
-                                          : msg->digests;
-      ws_index_.AppendDigests(tid, digests, msg->ws);
+    auto lock = obs::AcquireProfiled(wsmutex_, wsmutex_stats_);
+    verdict = certifier_.Certify(msg->cert, std::move(digests));
+    if (verdict.committed()) {
       OnlineRecovery::LogEntry log_entry;
-      log_entry.tid = tid;
+      log_entry.tid = verdict.tid;
       log_entry.gid = msg->gid;
       log_entry.ws = msg->ws;  // null for header-only entries
-      log_entry.digests = std::move(digests);
       log_entry.partition_mask = msg->partition_mask;
       recovery_.LogValidated(std::move(log_entry));
-      holes_.NoteValidated(tid);
+      holes_.NoteValidated(verdict.tid);
       if (rtrace != nullptr) {
         // Last write before publication: Append hands the trace to an
         // applier thread (the queue's lock orders that handoff), so the
@@ -608,7 +583,7 @@ void SrcaRepReplica::ProcessWriteSet(const gcs::Message& message) {
       }
       if (is_local || apply_here) {
         ToCommitEntry entry;
-        entry.tid = tid;
+        entry.tid = verdict.tid;
         entry.gid = msg->gid;
         entry.local = is_local;
         entry.ws = msg->ws;
@@ -629,11 +604,12 @@ void SrcaRepReplica::ProcessWriteSet(const gcs::Message& message) {
         // Non-holder: certification done, nothing to apply. Commit the
         // tid slot instantly (mirrors ProcessDdl) so the hole tracker
         // and stable prefix advance exactly as at holders.
-        holes_.RecordCommit(tid, [] { return 0; });
+        holes_.RecordCommit(verdict.tid, [] { return 0; });
       }
     }
-    ws_list_size = ws_index_.size();
+    ws_list_size = certifier_.size();
   }
+  const bool conflict = !verdict.committed();
   const uint64_t validate_ns = obs::MonotonicNanos() - arrival_ns;
 
   // Pipeline-depth gauges, sampled on every delivery (the fig5/fig8
@@ -652,13 +628,17 @@ void SrcaRepReplica::ProcessWriteSet(const gcs::Message& message) {
                    depth, hw, "mw.tocommit");
   }
   if (conflict) {
-    flight_.Record(obs::FlightEventType::kValidation, member_id(),
-                   msg->gid.seq, msg->gid.replica,
-                   !conflict_key.table.empty()
-                       ? conflict_key.ToString()
-                       : conflict_digest != 0
-                             ? "digest " + std::to_string(conflict_digest)
-                             : "cert window underrun");
+    const size_t i = verdict.conflict;
+    if (i == Certifier::kUnderrun) {
+      SIREP_WLOG << "ws_list window underrun for " << msg->gid.ToString()
+                 << " (cert " << msg->cert << ")";
+    }
+    flight_.Record(
+        obs::FlightEventType::kValidation, member_id(), msg->gid.seq,
+        msg->gid.replica,
+        i == Certifier::kUnderrun ? "cert window underrun"
+        : have_payload ? msg->ws->entries()[i].tuple.ToString()
+                       : "digest " + std::to_string(msg->digests[i]));
   }
 
   RecordOutcome(msg->gid, /*committed=*/!conflict);
@@ -698,7 +678,7 @@ void SrcaRepReplica::ProcessWriteSet(const gcs::Message& message) {
       pending->done = true;
       pending->result.kind = conflict ? ValidationResult::Kind::kFailed
                                       : ValidationResult::Kind::kValidated;
-      pending->result.tid = tid;
+      pending->result.tid = verdict.tid;
       pending->cv.notify_all();
     }
     // else: the client gave up (crash path) — nothing to do.
@@ -855,18 +835,16 @@ Status SrcaRepReplica::Recover(uint64_t from_tid,
 RecoveryHost::ValidationSnapshot SrcaRepReplica::SnapshotValidation() {
   ValidationSnapshot snapshot;
   std::lock_guard<std::mutex> lock(wsmutex_);
-  snapshot.lastvalidated = lastvalidated_tid_;
-  snapshot.ws_window = ws_index_.Snapshot();
+  snapshot.certifier = certifier_.Snapshot();
   snapshot.stable_prefix = holes_.StablePrefix();
   return snapshot;
 }
 
-void SrcaRepReplica::AdoptValidation(
-    uint64_t lastvalidated, const std::vector<WsWindowEntry>& ws_window) {
+void SrcaRepReplica::AdoptValidation(Certifier::State state) {
+  const uint64_t lastvalidated = state.last_validated;
   {
     std::lock_guard<std::mutex> lock(wsmutex_);
-    lastvalidated_tid_ = lastvalidated;
-    ws_index_.Load(ws_window);
+    certifier_.Load(std::move(state));
   }
   holes_.AdoptCommittedPrefix(lastvalidated);
 }
@@ -1062,17 +1040,21 @@ SrcaRepReplica::Health SrcaRepReplica::GetHealth() const {
 
 std::string SrcaRepReplica::HealthJson() const {
   const Health h = GetHealth();
-  char buf[256];
-  std::snprintf(buf, sizeof(buf),
-                "{\"role\":\"%s\",\"mode\":\"%s\",\"member_id\":%u,"
-                "\"view_id\":%llu,\"view_members\":%zu,"
-                "\"stable_prefix\":%llu,\"tocommit_depth\":%zu,"
-                "\"held_partitions\":%lld}",
-                h.role.c_str(), h.mode.c_str(), h.member_id,
-                static_cast<unsigned long long>(h.view_id), h.view_members,
-                static_cast<unsigned long long>(h.stable_prefix),
-                h.tocommit_depth, static_cast<long long>(h.held_partitions));
-  return buf;
+  std::string out = "{\"role\":";
+  obs::AppendJsonString(&out, h.role);
+  out += ",\"mode\":";
+  obs::AppendJsonString(&out, h.mode);
+  const std::pair<const char*, uint64_t> counts[] = {
+      {"member_id", h.member_id},       {"view_id", h.view_id},
+      {"view_members", h.view_members}, {"stable_prefix", h.stable_prefix},
+      {"tocommit_depth", h.tocommit_depth}};
+  for (const auto& [key, value] : counts) {
+    out += ",\"" + std::string(key) + "\":";
+    obs::AppendU64(&out, value);
+  }
+  out += ",\"held_partitions\":";
+  obs::AppendI64(&out, h.held_partitions);
+  return out + "}";
 }
 
 }  // namespace sirep::middleware

@@ -19,11 +19,11 @@
 #include "engine/query_result.h"
 #include "gcs/group.h"
 #include "middleware/apply_pipeline.h"
+#include "middleware/certifier.h"
 #include "middleware/global_txn_id.h"
 #include "middleware/hole_tracker.h"
 #include "middleware/messages.h"
 #include "middleware/recovery.h"
-#include "middleware/sharded_ws_index.h"
 #include "middleware/tocommit_queue.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
@@ -70,12 +70,8 @@ struct ReplicaOptions {
   /// Adjustment 2 does not depend on this width. The SIREP_APPLY_THREADS
   /// environment variable, when set, overrides this value.
   size_t applier_threads = 8;
-  /// Sliding window of retained validated writesets (see ShardedWsIndex).
+  /// Sliding window of retained validated writesets (see Certifier).
   size_t ws_list_window = 65536;
-  /// Hash-range shards of the validation index; probes and appends over
-  /// disjoint shards never contend. Purely a concurrency knob — the
-  /// validation verdicts are shard-count independent.
-  size_t validation_shards = 16;
   /// Base deadline for a whole Recover() run. The effective deadline
   /// grows with the bytes actually received so a large full-copy
   /// transfer does not spuriously time out (see Recover()).
@@ -341,8 +337,7 @@ class SrcaRepReplica final : public gcs::GroupListener,
     return shutdown_.load(std::memory_order_acquire);
   }
   ValidationSnapshot SnapshotValidation() override;
-  void AdoptValidation(uint64_t lastvalidated,
-                       const std::vector<WsWindowEntry>& ws_window) override;
+  void AdoptValidation(Certifier::State state) override;
   void MarkLocallyCommitted(const GlobalTxnId& gid) override;
   void ProcessDelivered(const gcs::Message& message) override;
   void GoLive() override;
@@ -375,13 +370,12 @@ class SrcaRepReplica final : public gcs::GroupListener,
   std::atomic<bool> accepting_{true};
   std::atomic<uint64_t> next_local_seq_{0};
 
-  // Fig. 4 state. wsmutex_ protects lastvalidated_tid_ and ws_index_,
-  // and serializes validation (steps I.2.c-f and II). ws_index_'s own
-  // per-shard locks additionally allow lock-free-of-wsmutex_ readers
-  // (gauges) and shard-parallel probes.
+  // Fig. 4 state. wsmutex_ protects certifier_ and serializes
+  // validation (steps I.2.c-f and II); its contention is accounted as
+  // "mw.lock.wsindex".
   std::mutex wsmutex_;
-  uint64_t lastvalidated_tid_ = 0;
-  ShardedWsIndex ws_index_;
+  obs::LockStats wsmutex_stats_;
+  Certifier certifier_;
 
   ToCommitQueue tocommit_queue_;
   HoleTracker holes_;

@@ -177,12 +177,6 @@ class ToCommitQueue {
     empty_cv_.notify_all();
   }
 
-  /// tid of the front entry, or 0 if empty (SRCA's strict in-order apply).
-  uint64_t FrontTid() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return entries_.empty() ? 0 : entries_.begin()->second.entry.tid;
-  }
-
   size_t size() const {
     std::lock_guard<std::mutex> lock(mu_);
     return entries_.size();

@@ -198,8 +198,6 @@ void MetricsSnapshot::Merge(const MetricsSnapshot& other) {
   }
 }
 
-namespace {
-
 void AppendJsonString(std::string* out, const std::string& s) {
   out->push_back('"');
   for (char c : s) {
@@ -235,6 +233,8 @@ void AppendI64(std::string* out, int64_t v) {
   std::snprintf(buf, sizeof(buf), "%" PRId64, v);
   *out += buf;
 }
+
+namespace {
 
 /// Prometheus metric names allow [a-zA-Z_:][a-zA-Z0-9_:]*.
 std::string PromName(const std::string& name) {

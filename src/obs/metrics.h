@@ -132,6 +132,12 @@ class Histogram {
   std::atomic<uint64_t> count_{0};  // bumped last (release)
 };
 
+/// The shared JSON writer: escaped string, round-trip double, integers.
+void AppendJsonString(std::string* out, const std::string& s);
+void AppendDouble(std::string* out, double v);
+void AppendU64(std::string* out, uint64_t v);
+void AppendI64(std::string* out, int64_t v);
+
 /// Everything a registry knew at one instant. Mergeable across
 /// registries (counters/gauges add, same-shape histograms add
 /// bucket-wise) and serializable as JSON or Prometheus text.

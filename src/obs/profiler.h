@@ -29,7 +29,7 @@ namespace sirep::obs {
 ///
 ///  2. A *mutex-contention* helper (AcquireProfiled + LockStats) for
 ///     named critical sections — the hole tracker, the ToCommitQueue,
-///     the ShardedWsIndex shards. Uncontended acquisitions cost one
+///     the replica's certification lock. Uncontended acquisitions cost one
 ///     striped counter bump; contended ones additionally record the
 ///     wait in a latency histogram. All three metrics live in the
 ///     owning component's MetricsRegistry ("<section>.acquires",

@@ -1,7 +1,6 @@
 #include "storage/storage_engine.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <map>
 
 #include "common/logging.h"
@@ -411,12 +410,6 @@ size_t StorageEngine::Vacuum() {
     if (t != nullptr) freed += t->Vacuum(horizon);
   }
   return freed;
-}
-
-Status StorageEngine::EnableWal(const std::string& path) {
-  const char* env = std::getenv("SIREP_WAL_GROUP_COMMIT");
-  return EnableWal(path, env != nullptr && *env != '\0' &&
-                             std::string(env) != "0");
 }
 
 Status StorageEngine::EnableWal(const std::string& path, bool group_commit) {

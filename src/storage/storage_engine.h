@@ -206,18 +206,16 @@ class StorageEngine {
   /// Turns on WAL durability: every commit appends its writeset to the
   /// log at `path` before returning. Enable before traffic starts.
   ///
-  /// With `group_commit` (default: the SIREP_WAL_GROUP_COMMIT env var),
-  /// commits buffer their record inside the commit critical section and
-  /// wait for a leader-elected group flush outside it, so concurrent
-  /// committers — e.g. the middleware's parallel remote appliers —
-  /// amortize flushes ("storage.wal_group_size" histograms the records
-  /// per flush). A commit still never returns before its record is
-  /// flushed; only the flush granularity changes. If the group flush
-  /// fails (log wedged), the commit's versions are already visible —
-  /// the commit completes in memory and the error reports the lost
-  /// durability.
-  Status EnableWal(const std::string& path);
-  Status EnableWal(const std::string& path, bool group_commit);
+  /// With `group_commit`, commits buffer their record inside the commit
+  /// critical section and wait for a leader-elected group flush outside
+  /// it, so concurrent committers — e.g. the middleware's parallel
+  /// remote appliers — amortize flushes ("storage.wal_group_size"
+  /// histograms the records per flush). A commit still never returns
+  /// before its record is flushed; only the flush granularity changes.
+  /// If the group flush fails (log wedged), the commit's versions are
+  /// already visible — the commit completes in memory and the error
+  /// reports the lost durability.
+  Status EnableWal(const std::string& path, bool group_commit = false);
 
   /// Rebuilds the committed state from the WAL at `path` (tables must
   /// already exist — schema is DDL, not logged). Installs versions with

@@ -1,4 +1,4 @@
-// Unit tests for the middleware building blocks: WsList, ShardedWsIndex,
+// Unit tests for the middleware building blocks: WsList, Certifier,
 // ToCommitQueue, HoleTracker, TableLockManager, and commit-path stage
 // tracing.
 
@@ -6,13 +6,16 @@
 
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <memory>
 #include <random>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "cluster/cluster.h"
+#include "middleware/certifier.h"
 #include "middleware/hole_tracker.h"
-#include "middleware/sharded_ws_index.h"
 #include "middleware/table_locks.h"
 #include "middleware/tocommit_queue.h"
 #include "middleware/ws_list.h"
@@ -26,8 +29,9 @@ namespace {
 using storage::WriteOp;
 using storage::WriteSet;
 
-std::shared_ptr<const WriteSet> Ws(
-    std::initializer_list<std::pair<const char*, int64_t>> tuples) {
+using Tuples = std::vector<std::pair<const char*, int64_t>>;
+
+std::shared_ptr<const WriteSet> Ws(const Tuples& tuples) {
   auto ws = std::make_shared<WriteSet>();
   for (const auto& [table, key] : tuples) {
     ws->Record({table, sql::Key{{sql::Value::Int(key)}}}, WriteOp::kUpdate,
@@ -67,69 +71,121 @@ TEST(WsListTest, WindowPruning) {
   EXPECT_FALSE(list.ConflictsAfter(4, *Ws({{"t", 4}})));
 }
 
-// ---- ShardedWsIndex ----
+// ---- Certifier ----
 
-TEST(ShardedWsIndexTest, ConflictsAfterCert) {
-  ShardedWsIndex index;
-  index.Append(1, Ws({{"t", 1}}));
-  index.Append(2, Ws({{"t", 2}}));
-  index.Append(3, Ws({{"t", 3}}));
-
-  EXPECT_TRUE(index.ConflictsAfter(0, *Ws({{"t", 2}})));
-  EXPECT_FALSE(index.ConflictsAfter(2, *Ws({{"t", 2}})));
-  EXPECT_TRUE(index.ConflictsAfter(2, *Ws({{"t", 3}})));
-  EXPECT_FALSE(index.ConflictsAfter(3, *Ws({{"t", 3}})));
-  EXPECT_FALSE(index.ConflictsAfter(0, *Ws({{"u", 1}})));
+std::vector<uint64_t> DigestsOf(const Tuples& tuples) {
+  return Certifier::DigestsOf(*Ws(tuples));
 }
 
-TEST(ShardedWsIndexTest, WindowPruning) {
-  ShardedWsIndex index(/*max_entries=*/3);
-  for (uint64_t tid = 1; tid <= 5; ++tid) {
-    index.Append(tid, Ws({{"t", static_cast<int64_t>(tid)}}));
+// One step-II call against a certifier built from `history`: each entry
+// is certified at the head (so it always commits and takes the next
+// tid); an empty entry takes a DDL slot instead.
+struct CertifyCase {
+  const char* name;
+  size_t window;
+  uint64_t start;  ///< last_validated before the history (bootstrap)
+  std::vector<Tuples> history;
+  uint64_t cert;
+  Tuples probe;
+  uint64_t want_tid;     ///< 0: abort
+  size_t want_conflict;  ///< abort reason (digest index or kUnderrun)
+  size_t want_size;      ///< window size after the call
+};
+
+TEST(CertifierTest, CertifyCases) {
+  const std::vector<CertifyCase> cases = {
+      {"no conflict: next tid assigned, entry appended", 8, 0,
+       {{{"t", 1}}, {{"t", 2}}}, 0, {{"u", 1}}, 3, 0, 3},
+      {"writer after cert aborts with that digest's index", 8, 0,
+       {{{"t", 1}}, {{"t", 2}}, {{"t", 3}}}, 1, {{"u", 5}, {"t", 3}}, 0, 1,
+       3},
+      {"writer exactly at cert commits", 8, 0, {{{"t", 1}}, {{"t", 2}}}, 2,
+       {{"t", 2}}, 3, 0, 3},
+      {"cert + 1 < MinRetainedTid underruns", 2, 0,
+       {{{"t", 1}}, {{"t", 2}}, {{"t", 3}}, {{"t", 4}}}, 1, {{"u", 9}}, 0,
+       Certifier::kUnderrun, 2},
+      {"cert + 1 == MinRetainedTid is still exact", 2, 0,
+       {{{"t", 1}}, {{"t", 2}}, {{"t", 3}}, {{"t", 4}}}, 2, {{"u", 9}}, 5, 0,
+       2},
+      {"an empty window never underruns", 8, 100, {}, 0, {{"t", 1}}, 101, 0,
+       1},
+      {"a DDL slot takes a tid but leaves the window untouched", 8, 0,
+       {{{"t", 1}}, {}}, 1, {{"t", 1}}, 3, 0, 2},
+      {"eviction keeps the newest writer of a tuple", 2, 0,
+       {{{"t", 7}}, {{"t", 7}}, {{"t", 8}}}, 1, {{"t", 7}}, 0, 0, 2},
+      {"eviction: a cert at the newest writer commits", 2, 0,
+       {{{"t", 7}}, {{"t", 7}}, {{"t", 8}}}, 2, {{"t", 7}}, 4, 0, 2},
+  };
+  for (const CertifyCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    Certifier certifier(c.window);
+    certifier.Load({c.start, {}});
+    for (const Tuples& tuples : c.history) {
+      if (tuples.empty()) {
+        certifier.AssignDdlTid();
+      } else {
+        ASSERT_TRUE(certifier
+                        .Certify(certifier.last_validated(), DigestsOf(tuples))
+                        .committed());
+      }
+    }
+    // Snapshot -> load must give a certifier with identical verdicts.
+    Certifier joiner(c.window);
+    joiner.Load(certifier.Snapshot());
+    const uint64_t last_before = certifier.last_validated();
+
+    const auto verdict = certifier.Certify(c.cert, DigestsOf(c.probe));
+    EXPECT_EQ(verdict.tid, c.want_tid);
+    if (!verdict.committed()) {
+      EXPECT_EQ(verdict.conflict, c.want_conflict);
+      EXPECT_EQ(certifier.last_validated(), last_before);
+    } else {
+      EXPECT_EQ(certifier.last_validated(), verdict.tid);
+    }
+    EXPECT_EQ(certifier.size(), c.want_size);
+
+    const auto replayed = joiner.Certify(c.cert, DigestsOf(c.probe));
+    EXPECT_EQ(replayed.tid, verdict.tid);
+    EXPECT_EQ(replayed.conflict, verdict.conflict);
+    EXPECT_EQ(joiner.size(), certifier.size());
+    EXPECT_EQ(joiner.MinRetainedTid(), certifier.MinRetainedTid());
   }
-  EXPECT_EQ(index.size(), 3u);
-  EXPECT_EQ(index.MinRetainedTid(), 3u);
-  EXPECT_TRUE(index.ConflictsAfter(2, *Ws({{"t", 4}})));
-  EXPECT_FALSE(index.ConflictsAfter(4, *Ws({{"t", 4}})));
 }
 
-// Evicting an old writeset must not forget a *newer* writer of the same
-// tuple: the per-tuple map entry is dropped only when the evicted tid
-// still owns it.
-TEST(ShardedWsIndexTest, EvictionKeepsNewestWriterOfTuple) {
-  ShardedWsIndex index(/*max_entries=*/2);
-  index.Append(1, Ws({{"t", 7}}));
-  index.Append(2, Ws({{"t", 7}}));  // same tuple, newer writer
-  index.Append(3, Ws({{"t", 8}}));  // evicts tid 1's entry
-  EXPECT_EQ(index.MinRetainedTid(), 2u);
-  // tid 2 still conflicts even though tid 1 (same tuple) was evicted.
-  EXPECT_TRUE(index.ConflictsAfter(1, *Ws({{"t", 7}})));
-  EXPECT_FALSE(index.ConflictsAfter(2, *Ws({{"t", 7}})));
-}
+TEST(CertifierTest, LoadReplacesState) {
+  Certifier donor;
+  donor.Load({3, {}});
+  ASSERT_EQ(donor.Certify(3, DigestsOf({{"t", 1}})).tid, 4u);
+  ASSERT_EQ(donor.Certify(4, DigestsOf({{"t", 2}, {"u", 2}})).tid, 5u);
 
-TEST(ShardedWsIndexTest, SnapshotLoadRoundTrip) {
-  ShardedWsIndex donor;
-  donor.Append(4, Ws({{"t", 1}}));
-  donor.Append(5, Ws({{"t", 2}, {"u", 2}}));
-
-  ShardedWsIndex joiner;
-  joiner.Append(1, Ws({{"stale", 1}}));  // replaced by Load
+  Certifier joiner;
+  ASSERT_TRUE(joiner.Certify(0, DigestsOf({{"stale", 1}})).committed());
   joiner.Load(donor.Snapshot());
   EXPECT_EQ(joiner.size(), 2u);
   EXPECT_EQ(joiner.MinRetainedTid(), 4u);
-  EXPECT_TRUE(joiner.ConflictsAfter(4, *Ws({{"u", 2}})));
-  EXPECT_FALSE(joiner.ConflictsAfter(0, *Ws({{"stale", 1}})));
+  EXPECT_EQ(joiner.last_validated(), 5u);
+  EXPECT_FALSE(joiner.Certify(4, DigestsOf({{"u", 2}})).committed());
+  EXPECT_EQ(joiner.Certify(3, DigestsOf({{"stale", 1}})).tid, 6u);
 }
 
-// Differential check against WsList, the literal paper formulation: for
-// a long random append/probe sequence (fixed seed, deterministic) both
-// structures must return identical verdicts — validation decisions are
-// part of the cross-replica determinism argument, so the O(writeset)
-// index must be decision-equivalent, not just approximately right.
-TEST(ShardedWsIndexTest, DifferentialAgainstWsList) {
+// The reference verdict: WsList (the literal paper formulation) plus the
+// conservative abort for a cert below the retained window.
+bool OracleAborts(const WsList& oracle, uint64_t cert, const WriteSet& ws) {
+  return (!oracle.empty() && cert + 1 < oracle.MinRetainedTid()) ||
+         oracle.ConflictsAfter(cert, ws);
+}
+
+// Differential check against the oracle: a long random stream of
+// Certify calls (fixed seed, deterministic) with certs across the whole
+// window, including below MinRetainedTid and above the newest tid. Both
+// sides must agree on every verdict and assign the same tids —
+// validation decisions are part of the cross-replica determinism
+// argument, so the O(writeset) certifier must be decision-equivalent,
+// not just approximately right.
+TEST(CertifierTest, DifferentialAgainstWsList) {
   constexpr size_t kWindow = 16;
   WsList oracle(kWindow);
-  ShardedWsIndex index(kWindow, /*num_shards=*/4);
+  Certifier certifier(kWindow);
   std::mt19937 rng(20260808);
   std::uniform_int_distribution<int64_t> key(0, 24);
   std::uniform_int_distribution<int> nkeys(1, 4);
@@ -146,25 +202,33 @@ TEST(ShardedWsIndexTest, DifferentialAgainstWsList) {
     return ws;
   };
 
-  for (uint64_t tid = 1; tid <= 400; ++tid) {
+  uint64_t oracle_tid = 0;
+  size_t commits = 0, aborts = 0, underruns = 0;
+  for (int step = 0; step < 3200; ++step) {
     auto ws = random_ws();
-    oracle.Append(tid, ws);
-    index.Append(tid, ws);
-    ASSERT_EQ(oracle.size(), index.size());
-    ASSERT_EQ(oracle.MinRetainedTid(), index.MinRetainedTid());
-
-    // Probe both with certs across the whole window (including below
-    // MinRetainedTid and above the newest tid).
-    for (int probe = 0; probe < 8; ++probe) {
-      auto probe_ws = random_ws();
-      std::uniform_int_distribution<uint64_t> cert(
-          tid > kWindow + 4 ? tid - kWindow - 4 : 0, tid + 2);
-      const uint64_t c = cert(rng);
-      ASSERT_EQ(oracle.ConflictsAfter(c, *probe_ws),
-                index.ConflictsAfter(c, *probe_ws))
-          << "tid=" << tid << " cert=" << c;
+    std::uniform_int_distribution<uint64_t> cert(
+        oracle_tid > kWindow + 4 ? oracle_tid - kWindow - 4 : 0,
+        oracle_tid + 2);
+    const uint64_t c = cert(rng);
+    const bool want_abort = OracleAborts(oracle, c, *ws);
+    const auto verdict = certifier.Certify(c, Certifier::DigestsOf(*ws));
+    ASSERT_EQ(want_abort, !verdict.committed())
+        << "step=" << step << " cert=" << c;
+    if (verdict.committed()) {
+      ASSERT_EQ(verdict.tid, ++oracle_tid);
+      oracle.Append(oracle_tid, ws);
+      ++commits;
+    } else if (verdict.conflict == Certifier::kUnderrun) {
+      ++underruns;
+    } else {
+      ++aborts;
     }
+    ASSERT_EQ(oracle.size(), certifier.size());
+    ASSERT_EQ(oracle.MinRetainedTid(), certifier.MinRetainedTid());
   }
+  EXPECT_GT(commits, 4 * kWindow);
+  EXPECT_GT(aborts, 0u);
+  EXPECT_GT(underruns, 0u);
 }
 
 // The window-pruning / snapshot-load boundary, exhaustively: a donor
@@ -174,25 +238,25 @@ TEST(ShardedWsIndexTest, DifferentialAgainstWsList) {
 // sweeps certs straddling MinRetainedTid - 1 (the conservative-abort
 // boundary) — the exact off-by-one territory where a pruning bug would
 // let a joiner reach a different verdict than a live replica.
-TEST(ShardedWsIndexTest, DifferentialAtSnapshotLoadPruneBoundary) {
+TEST(CertifierTest, DifferentialAtSnapshotLoadPruneBoundary) {
   constexpr size_t kDonorWindow = 8;
   std::mt19937 rng(8008);
   std::uniform_int_distribution<int64_t> key(0, 9);
 
-  auto ws_for = [&](int64_t k) {
-    auto ws = std::make_shared<WriteSet>();
-    ws->Record({"t", sql::Key{{sql::Value::Int(k)}}}, WriteOp::kUpdate,
-               {sql::Value::Int(0)});
-    return ws;
-  };
+  auto ws_for = [&](int64_t k) { return Ws({{"t", k}}); };
 
   for (size_t fill = 1; fill <= 2 * kDonorWindow; ++fill) {
-    ShardedWsIndex donor(kDonorWindow, /*num_shards=*/4);
+    // The window keeps digests only, so the oracle replays row images
+    // from the test's own record of what each tid wrote.
+    std::map<uint64_t, std::shared_ptr<const WriteSet>> ws_of_tid;
+    Certifier donor(kDonorWindow);
     for (uint64_t tid = 1; tid <= fill; ++tid) {
-      donor.Append(tid, ws_for(key(rng)));
+      auto ws = ws_for(key(rng));
+      ASSERT_EQ(donor.Certify(tid - 1, Certifier::DigestsOf(*ws)).tid, tid);
+      ws_of_tid[tid] = ws;
     }
-    const auto snapshot = donor.Snapshot();
-    ASSERT_EQ(snapshot.size(), std::min(fill, kDonorWindow));
+    const Certifier::State snapshot = donor.Snapshot();
+    ASSERT_EQ(snapshot.window.size(), std::min(fill, kDonorWindow));
 
     for (size_t joiner_window : {kDonorWindow / 2, kDonorWindow,
                                  2 * kDonorWindow}) {
@@ -201,9 +265,11 @@ TEST(ShardedWsIndexTest, DifferentialAtSnapshotLoadPruneBoundary) {
       // joiner's window must converge to exactly the suffix a live
       // WsList of that width would hold.
       WsList oracle(joiner_window);
-      for (const auto& entry : snapshot) oracle.Append(entry.tid, entry.ws);
+      for (const auto& entry : snapshot.window) {
+        oracle.Append(entry.tid, ws_of_tid.at(entry.tid));
+      }
 
-      ShardedWsIndex joiner(joiner_window, /*num_shards=*/4);
+      Certifier joiner(joiner_window);
       joiner.Load(snapshot);
       ASSERT_EQ(joiner.size(), oracle.size());
       ASSERT_EQ(joiner.MinRetainedTid(), oracle.MinRetainedTid());
@@ -212,25 +278,23 @@ TEST(ShardedWsIndexTest, DifferentialAtSnapshotLoadPruneBoundary) {
       for (uint64_t tid = fill + 1; tid <= fill + kDonorWindow; ++tid) {
         auto ws = ws_for(key(rng));
         oracle.Append(tid, ws);
-        joiner.Append(tid, ws);
+        ASSERT_EQ(joiner.Certify(tid - 1, Certifier::DigestsOf(*ws)).tid,
+                  tid);
         ASSERT_EQ(joiner.MinRetainedTid(), oracle.MinRetainedTid());
 
         const uint64_t min_tid = oracle.MinRetainedTid();
         for (int64_t k = 0; k <= 9; ++k) {
           auto probe = ws_for(k);
-          const auto digests = ShardedWsIndex::DigestsOf(*probe);
+          const auto digests = Certifier::DigestsOf(*probe);
           // Certs pinned to the boundary: min-2 .. min+1, plus the head.
           for (uint64_t cert :
                {min_tid >= 2 ? min_tid - 2 : 0, min_tid - 1, min_tid,
                 min_tid + 1, tid - 1, tid}) {
-            ASSERT_EQ(oracle.ConflictsAfter(cert, *probe),
-                      joiner.ConflictsAfter(cert, *probe))
+            Certifier trial = joiner;  // Certify appends on success
+            ASSERT_EQ(OracleAborts(oracle, cert, *probe),
+                      !trial.Certify(cert, digests).committed())
                 << "fill=" << fill << " jw=" << joiner_window
                 << " tid=" << tid << " cert=" << cert << " key=" << k;
-            // The digest probe (the non-holder path) must agree too.
-            ASSERT_EQ(joiner.ConflictsAfter(cert, *probe),
-                      joiner.ConflictsAfterDigests(cert, digests))
-                << "fill=" << fill << " cert=" << cert << " key=" << k;
           }
         }
       }
@@ -275,7 +339,6 @@ TEST(ToCommitQueueTest, LocalEntriesNeverDispatched) {
   ToCommitQueue q;
   q.Append({1, {0, 1}, /*local=*/true, Ws({{"t", 1}}), true});
   EXPECT_TRUE(q.TakeDispatchableRemotes().empty());
-  EXPECT_EQ(q.FrontTid(), 1u);
   q.Remove(1);
   EXPECT_TRUE(q.empty());
 }
